@@ -16,6 +16,7 @@ from repro.core.brief import Brief, Phase
 from repro.core.probe import Probe
 from repro.db import Database
 from repro.errors import ReproError
+from repro.obs import trace as obs_trace
 from repro.plan.cost import estimate_cost
 from repro.plan.logical import PlanNode
 
@@ -66,6 +67,14 @@ class ProbeInterpreter:
         self._db = db
 
     def interpret(self, probe: Probe) -> InterpretedProbe:
+        trace = obs_trace.probe_trace(probe)
+        if trace is not None:
+            # Anchor the probe's trace so planning records ``plan`` spans.
+            with obs_trace.use_span(trace.root):
+                return self._interpret(probe)
+        return self._interpret(probe)
+
+    def _interpret(self, probe: Probe) -> InterpretedProbe:
         phase = probe.brief.infer_phase()
         interpreted = InterpretedProbe(probe=probe, phase=phase)
         for index, sql in enumerate(probe.queries):

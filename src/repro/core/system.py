@@ -334,7 +334,7 @@ class AgentFirstDataSystem:
         db.on_change(self._on_change)
 
     def _register_engine_collectors(self) -> None:
-        """Publish engine-level metrics as snapshot-time collectors.
+        """Publish engine- and plan-cache metrics as snapshot-time collectors.
 
         Occupancies and hit ratios are derived from live structures when
         ``metrics()`` is called — zero hot-path bookkeeping, which is how
@@ -383,6 +383,27 @@ class AgentFirstDataSystem:
             gauges["kernel_memo_unvectorized"].set(KERNEL_MEMO_STATS.unvectorized)
 
         registry.add_collector(collect)
+
+        plan_cache = {
+            name: registry.counter(f"repro_plan_cache_{name}", help)
+            for name, help in (
+                ("hits", "SELECTs served a cached plan"),
+                ("misses", "SELECTs parsed, built and optimized"),
+                ("evictions", "Plans dropped by the LRU bound or a version move"),
+            )
+        }
+        plan_cache_entries = registry.gauge(
+            "repro_plan_cache_entries", "Cached plans at the current catalog version"
+        )
+
+        def collect_plan_cache() -> None:
+            db = self.db
+            plan_cache["hits"].set(db.plan_cache_hits)
+            plan_cache["misses"].set(db.plan_cache_misses)
+            plan_cache["evictions"].set(db.plan_cache_evictions)
+            plan_cache_entries.set(db.plan_cache_size())
+
+        registry.add_collector(collect_plan_cache)
 
     def metrics(self) -> MetricsSnapshot:
         """One snapshot of every metric this system publishes.

@@ -3,7 +3,19 @@
 ``Database`` owns a :class:`~repro.storage.catalog.Catalog` and runs the
 full pipeline: parse → build → optimize → execute. It also
 
-* serves virtual ``information_schema`` tables (rebuilt when stale),
+* plans each distinct SELECT text once per catalog version: every SELECT
+  (:meth:`Database.plan_select` and :meth:`Database.execute` alike) goes
+  through one cache keyed by the SQL text, holding only plans built at
+  the current :meth:`~repro.storage.catalog.Catalog.version` — schema,
+  data epoch, per-table data versions (which also stamp the statistics
+  the optimizer reads) and auxiliary indexes. Any version move drops
+  every entry, since stale plans can never hit again. Agents re-ask the
+  same SQL far more than humans do (the paper's redundancy trait), so a
+  swarm mostly reuses plans, and with them their memoized fingerprints.
+  The cache is a lock-guarded LRU bounded by ``_PLAN_CACHE_MAX``; errors
+  and non-SELECT statements are never cached,
+* serves virtual ``information_schema`` tables (rebuilt when stale; a
+  cached plan that reads them still triggers the staleness check),
 * evaluates DML (INSERT/UPDATE/DELETE) with index maintenance,
 * publishes :class:`ChangeEvent` notifications that the agentic memory
   store's staleness tracker subscribes to (paper Sec. 6.1),
@@ -21,7 +33,9 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
+import threading
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -31,6 +45,7 @@ from repro.engine.executor import ExecContext, Executor, SubplanCache
 from repro.engine.expressions import compile_expr
 from repro.engine.result import QueryResult
 from repro.errors import CatalogError, ExecutionError, PlanError
+from repro.obs import trace as obs_trace
 from repro.plan.builder import build_plan
 from repro.plan.cost import CostEstimate, estimate_cost
 from repro.plan.logical import OneRow, OutputCol, PlanNode
@@ -40,6 +55,10 @@ from repro.sql.parser import parse_statement
 from repro.storage.catalog import Catalog
 from repro.storage.schema import Column, TableSchema
 from repro.storage.types import DataType, Value
+
+#: Upper bound on cached SELECT plans per facade (least recently used
+#: entries go first). Only current-version plans are ever held.
+_PLAN_CACHE_MAX = 1024
 
 
 @dataclass(frozen=True)
@@ -68,6 +87,14 @@ class Database:
         self.catalog = Catalog()
         self._observers: list[Callable[[ChangeEvent], None]] = []
         self._info_schema_version = -1
+        #: SQL text -> (optimized plan, reads information_schema), all
+        #: planned at ``_plans_stamp`` = (catalog, catalog version).
+        self._plans: OrderedDict[str, tuple[PlanNode, bool]] = OrderedDict()
+        self._plans_stamp: tuple | None = None
+        self._plans_lock = threading.Lock()
+        self.plan_cache_hits = 0
+        self.plan_cache_misses = 0
+        self.plan_cache_evictions = 0
         #: Serve-state recovered alongside the catalog (set by
         #: :meth:`recover`; the serving system consumes it at rebuild).
         self.recovered_serve = None
@@ -200,10 +227,15 @@ class Database:
         ``"columnar"`` | ``"auto"``; ``None`` defers to the
         ``REPRO_ENGINE`` env override, then the row engine).
         """
+        if sql in self._plans:
+            # Only SELECTs are cached; a racing eviction just replans.
+            return self._run_select(
+                self._plan(sql)[0], sample_rate, sample_seed, cache, engine
+            )
         statement = parse_statement(sql)
         if isinstance(statement, nodes.Select):
-            return self._execute_select(
-                statement, sample_rate, sample_seed, cache, engine
+            return self._run_select(
+                self._plan(sql, statement)[0], sample_rate, sample_seed, cache, engine
             )
         if isinstance(statement, nodes.CreateTable):
             return self._execute_create(statement)
@@ -218,13 +250,92 @@ class Database:
         raise ExecutionError(f"unsupported statement {type(statement).__name__}")
 
     def plan_select(self, sql: str) -> PlanNode:
-        """Parse and plan (but do not run) a SELECT; used by analyses."""
-        statement = parse_statement(sql)
+        """Parse and plan (but do not run) a SELECT; used by analyses.
+
+        Repeated text at an unchanged catalog version returns the same
+        (shared, immutable) plan object. A traced caller gets a ``plan``
+        span whose ``cache`` attribute says ``hit`` or ``miss``.
+        """
+        parent = obs_trace.current_span()
+        if parent is None:
+            return self._plan(sql)[0]
+        span = parent.child("plan")
+        try:
+            plan, hit = self._plan(sql)
+            span.note(cache="hit" if hit else "miss")
+            return plan
+        finally:
+            span.finish()
+
+    def plan_cache_size(self) -> int:
+        """Plans currently cached (all at the current catalog version)."""
+        return len(self._plans)
+
+    def _plan(
+        self, sql: str, statement: nodes.Statement | None = None
+    ) -> tuple[PlanNode, bool]:
+        """The one SELECT planning path: ``(plan, cache hit?)`` for ``sql``.
+
+        A hit needs no parse. An entry that reads ``information_schema``
+        still runs the refresh first: a stale refresh re-registers the
+        virtual tables, which moves the schema version and so turns the
+        hit into a replan against the new tables.
+        """
+        with self._plans_lock:
+            entry = self._plans.get(sql)
+        if entry is not None and entry[1]:
+            self._refresh_information_schema()
+        catalog = self.catalog
+        stamp = (catalog, catalog.version())
+        with self._plans_lock:
+            self._sync_plan_stamp(stamp)
+            entry = self._plans.get(sql)
+            if entry is not None:
+                self._plans.move_to_end(sql)
+                self.plan_cache_hits += 1
+                return entry[0], True
+        if statement is None:
+            statement = parse_statement(sql)
         if not isinstance(statement, nodes.Select):
             raise PlanError("plan_select requires a SELECT statement")
-        self._refresh_information_schema_if_needed(statement)
-        plan = build_plan(statement, self.catalog)
-        return optimize_plan(plan, self.catalog)
+        plan, reads_info_schema, version = self._build_select(statement)
+        with self._plans_lock:
+            self.plan_cache_misses += 1
+            # A write that landed while planning makes this plan stale
+            # before it is stored; it is still a valid answer for the
+            # caller, who raced the write.
+            if self.catalog is catalog and catalog.version() == version:
+                self._sync_plan_stamp((catalog, version))
+                self._plans[sql] = (plan, reads_info_schema)
+                self._plans.move_to_end(sql)
+                if len(self._plans) > _PLAN_CACHE_MAX:
+                    self._plans.popitem(last=False)
+                    self.plan_cache_evictions += 1
+        return plan, False
+
+    def _sync_plan_stamp(self, stamp: tuple) -> None:
+        """Drop every cached plan unless they were built at ``stamp``.
+
+        Caller holds ``_plans_lock``.
+        """
+        if self._plans_stamp != stamp:
+            self.plan_cache_evictions += len(self._plans)
+            self._plans.clear()
+            self._plans_stamp = stamp
+
+    def _build_select(self, statement: nodes.Select) -> tuple[PlanNode, bool, tuple]:
+        """Refresh ``information_schema`` if read, then build and optimize.
+
+        Returns ``(plan, reads information_schema, catalog version the
+        plan was built at)``.
+        """
+        reads_info_schema = _references_information_schema(statement)
+        if reads_info_schema:
+            self._refresh_information_schema()
+        catalog = self.catalog
+        version = catalog.version()
+        plan = optimize_plan(build_plan(statement, catalog), catalog)
+        return plan, reads_info_schema, version
 
     def explain(self, sql: str) -> str:
         """EXPLAIN: the optimized plan plus its cost estimate."""
@@ -242,26 +353,22 @@ class Database:
 
     # -- SELECT ------------------------------------------------------------------
 
-    def _execute_select(
+    def _run_select(
         self,
-        statement: nodes.Select,
+        plan: PlanNode,
         sample_rate: float,
         sample_seed: int,
         cache: SubplanCache | None,
         engine: str | None = None,
     ) -> QueryResult:
-        self._refresh_information_schema_if_needed(statement)
-        plan = build_plan(statement, self.catalog)
-        plan = optimize_plan(plan, self.catalog)
         context = ExecContext(
             sample_rate=sample_rate, sample_seed=sample_seed, cache=cache
         )
         executor = make_executor(self.catalog, context, engine)
         return executor.run(plan)
 
-    def _refresh_information_schema_if_needed(self, statement: nodes.Select) -> None:
-        if not _references_information_schema(statement):
-            return
+    def _refresh_information_schema(self) -> None:
+        """Rebuild the virtual tables if any real table changed since."""
         current = (
             self.catalog.schema_version,
             tuple(
@@ -330,7 +437,8 @@ class Database:
         table = self.catalog.table(statement.table)
         schema = table.schema
         if statement.select is not None:
-            select_result = self._execute_select(statement.select, 1.0, 0, None)
+            plan = self._build_select(statement.select)[0]
+            select_result = self._run_select(plan, 1.0, 0, None)
             raw_rows: list[tuple[Value, ...]] = list(select_result.rows)
         else:
             raw_rows = []
@@ -445,7 +553,11 @@ def _references_information_schema(statement: nodes.Select) -> bool:
         if isinstance(ref, nodes.SubqueryRef):
             return collect(ref.select)
         if isinstance(ref, nodes.Join):
-            return ref_tables(ref.left) + ref_tables(ref.right)
+            found = ref_tables(ref.left) + ref_tables(ref.right)
+            if ref.condition is not None:
+                for subquery in _subqueries_in([ref.condition]):
+                    found.extend(collect(subquery))
+            return found
         return []
 
     def collect(select: nodes.Select) -> list[str]:
@@ -458,7 +570,8 @@ def _references_information_schema(statement: nodes.Select) -> bool:
 
 
 def _subquery_expressions(select: nodes.Select) -> list[nodes.Select]:
-    """All subquery ASTs appearing in expressions of ``select``."""
+    """All subquery ASTs appearing in expressions of ``select`` (outside
+    its FROM clause)."""
     sources: list[nodes.Expr] = [item.expr for item in select.items]
     if select.where is not None:
         sources.append(select.where)
@@ -466,8 +579,13 @@ def _subquery_expressions(select: nodes.Select) -> list[nodes.Select]:
         sources.append(select.having)
     sources.extend(select.group_by)
     sources.extend(order.expr for order in select.order_by)
+    return _subqueries_in(sources)
+
+
+def _subqueries_in(exprs: list[nodes.Expr]) -> list[nodes.Select]:
+    """The subquery ASTs nested in ``exprs`` (not descending into them)."""
     out: list[nodes.Select] = []
-    for expr in sources:
+    for expr in exprs:
         for node in nodes.walk(expr):
             if isinstance(node, (nodes.InSubquery, nodes.ScalarSubquery, nodes.Exists)):
                 out.append(node.subquery)

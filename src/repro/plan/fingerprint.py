@@ -25,18 +25,28 @@ Memoization
 The serving path fingerprints the *same* plan many times: the executor
 keys its cache by the strict fingerprint of every node it materialises,
 the probe optimizer needs strict+lenient digests per executed query, and
-the scheduler/census walk whole batches of plans. Recomputing the binding
-map and re-canonicalising the full subtree on every call is O(depth²) per
-plan. Instead, :func:`fingerprints` computes strict and lenient digests
-(and the subtree size) for **all** subtrees in one bottom-up pass and
-caches them on each (immutable-after-optimize) :class:`PlanNode`, so every
-later call — on the root or any descendant — is a dict lookup.
+the scheduler/census walk whole batches of plans. Digests are therefore
+Merkle-style: a node's canonical tuple holds only its *local* content
+(operator, canonical expressions, literals) plus its children's
+*digests* — in order for the strict digest, sorted wherever the lenient
+digest ignores order (inner-join sides, for instance). Hashing a node
+costs its own content, never its subtree, so digesting a whole plan is
+linear in its size, and equal digests still mean equal canonical trees.
 
-The bottom-up pass is byte-identical to the per-call path whenever no
-binding name is shadowed (two scans/aliases mapping one name to different
-relations), which a pre-pass verifies; the rare shadowed plan falls back
-to the original per-call computation (kept as :func:`fingerprint_uncached`,
-which also serves as the differential baseline in tests and benchmarks).
+:func:`fingerprints` computes strict and lenient digests (and the
+subtree size) for **all** subtrees in one bottom-up pass and caches a
+:class:`NodeFingerprints` on each (immutable-after-optimize)
+:class:`PlanNode` — only the digests, no canonical tuples — so every
+later call, on the root or any descendant, is an attribute lookup.
+
+The bottom-up pass resolves column qualifiers against the root's binding
+map, which equals each subtree's own map whenever no binding name is
+shadowed (two scans/aliases mapping one name to different relations); a
+pre-pass verifies that, and the rare shadowed plan falls back to a
+per-call computation against the plan's own map (kept as
+:func:`fingerprint_uncached`, which runs the same Merkle scheme without
+the memo and also serves as the differential baseline in tests and
+benchmarks).
 """
 
 from __future__ import annotations
@@ -102,8 +112,8 @@ def fingerprints(plan: logical.PlanNode) -> NodeFingerprints:
     memo = plan.__dict__.get(_MEMO_ATTR)
     if memo is not None:
         FINGERPRINT_STATS.memo_hits += 1
-        return memo[0]
-    return _memoize_tree(plan)[0]
+        return memo
+    return _memoize_tree(plan)
 
 
 def fingerprint(plan: logical.PlanNode, strict: bool = False) -> str:
@@ -122,13 +132,13 @@ def fingerprint(plan: logical.PlanNode, strict: bool = False) -> str:
 
 def fingerprint_uncached(plan: logical.PlanNode, strict: bool = False) -> str:
     """The per-call (non-memoized) fingerprint: rebuilds the binding map
-    and re-canonicalises the whole subtree.
+    and re-digests the whole subtree.
 
     Kept as the differential baseline for the memoization layer and as the
     fallback for binding-shadowed plans; produces identical digests to
     :func:`fingerprint` by construction.
     """
-    return stable_hash(_canonical(plan, _binding_map(plan), strict))
+    return _digest(plan, _binding_map(plan), strict)
 
 
 @dataclass(frozen=True)
@@ -142,16 +152,15 @@ class SubExpression:
 
 def subexpressions(plan: logical.PlanNode) -> list[SubExpression]:
     """Every subtree of ``plan`` with its fingerprint, size, and root code."""
-    memo = plan.__dict__.get(_MEMO_ATTR)
-    if memo is None:
-        memo = _memoize_tree(plan)
-    if memo[1] is None:
+    if not _collect_bindings(plan, {}):
         # Shadowed bindings: per-subtree maps diverge from the root's, so
         # keep the original one-map-for-all-subtrees semantics.
         return _subexpressions_uncached(plan)
+    if _MEMO_ATTR not in plan.__dict__:
+        _memoize_tree(plan)
     out: list[SubExpression] = []
     for node in plan.walk():
-        cached: NodeFingerprints = node.__dict__[_MEMO_ATTR][0]
+        cached: NodeFingerprints = node.__dict__[_MEMO_ATTR]
         out.append(
             SubExpression(
                 fingerprint=cached.lenient,
@@ -169,7 +178,7 @@ def _subexpressions_uncached(plan: logical.PlanNode) -> list[SubExpression]:
     for node in plan.walk():
         out.append(
             SubExpression(
-                fingerprint=stable_hash(_canonical(node, binding_map, False)),
+                fingerprint=_digest(node, binding_map, False),
                 size=node.node_count(),
                 root_code=logical.root_operator_code(node),
             )
@@ -182,13 +191,11 @@ def _subexpressions_uncached(plan: logical.PlanNode) -> list[SubExpression]:
 # ---------------------------------------------------------------------------
 
 
-def _memoize_tree(root: logical.PlanNode) -> tuple:
-    """Memoize every node of ``root``'s tree; return the root's memo.
+def _memoize_tree(root: logical.PlanNode) -> NodeFingerprints:
+    """Memoize every node of ``root``'s tree; return the root's digests.
 
-    A memo is ``(NodeFingerprints, lenient_tuple, strict_tuple)``. The
-    canonical tuples are kept so parents can embed them without
-    re-canonicalising; fallback memos (shadowed bindings) carry ``None``
-    tuples, which also marks that descendants were *not* memoized.
+    A shadowed tree memoizes its root alone (its descendants' digests
+    depend on which map resolves their names, so they stay uncached).
     """
     bindings: dict[str, str] = {}
     if _collect_bindings(root, bindings):
@@ -199,16 +206,10 @@ def _memoize_tree(root: logical.PlanNode) -> tuple:
         # computed against its own map) can be cached safely.
         FINGERPRINT_STATS.shadowed_fallbacks += 1
         root_map = _binding_map(root)
-        lenient_tuple = _canonical(root, root_map, False)
-        strict_tuple = _canonical(root, root_map, True)
-        memo = (
-            NodeFingerprints(
-                lenient=stable_hash(lenient_tuple),
-                strict=stable_hash(strict_tuple),
-                size=root.node_count(),
-            ),
-            None,
-            None,
+        memo = NodeFingerprints(
+            lenient=_digest(root, root_map, False),
+            strict=_digest(root, root_map, True),
+            size=root.node_count(),
         )
         object.__setattr__(root, _MEMO_ATTR, memo)
     FINGERPRINT_STATS.trees_memoized += 1
@@ -234,31 +235,35 @@ def _collect_bindings(root: logical.PlanNode, out: dict[str, str]) -> bool:
     return consistent
 
 
-def _memoize_consistent(node: logical.PlanNode, bindings: dict[str, str]) -> tuple:
+def _memoize_consistent(
+    node: logical.PlanNode, bindings: dict[str, str]
+) -> NodeFingerprints:
     """Bottom-up memoization under a shadow-free binding map.
 
     With no shadowing, each subtree's own binding map agrees with the
-    root's on every name the subtree can reference, so child canonical
-    tuples computed here are exactly what ``fingerprint_uncached`` would
-    produce for the child — parents embed them directly instead of
-    re-canonicalising the whole subtree per level.
+    root's on every name the subtree can reference, so the child digests
+    computed here are exactly what ``fingerprint_uncached`` would produce
+    for the child. A memo already on a node is reusable for the same
+    reason: a subtree that is shadow-free inside one tree is shadow-free
+    in every tree (a shadowed subtree makes any tree containing it
+    shadowed, so its root-only fallback memo is never reached here).
     """
     memo = node.__dict__.get(_MEMO_ATTR)
-    if memo is not None and memo[1] is not None:
+    if memo is not None:
         return memo
     child_memos = [_memoize_consistent(child, bindings) for child in node.children()]
-    child_lenient = tuple(child[1] for child in child_memos)
-    child_strict = tuple(child[2] for child in child_memos)
-    lenient_tuple = _canonical_node(node, bindings, False, child_lenient)
-    strict_tuple = _canonical_node(node, bindings, True, child_strict)
-    memo = (
-        NodeFingerprints(
-            lenient=stable_hash(lenient_tuple),
-            strict=stable_hash(strict_tuple),
-            size=1 + sum(child[0].size for child in child_memos),
+    memo = NodeFingerprints(
+        lenient=stable_hash(
+            _canonical_node(
+                node, bindings, False, tuple(child.lenient for child in child_memos)
+            )
         ),
-        lenient_tuple,
-        strict_tuple,
+        strict=stable_hash(
+            _canonical_node(
+                node, bindings, True, tuple(child.strict for child in child_memos)
+            )
+        ),
+        size=1 + sum(child.size for child in child_memos),
     )
     object.__setattr__(node, _MEMO_ATTR, memo)
     return memo
@@ -296,25 +301,24 @@ def _stable_sorted(items) -> list:
         return sorted(items, key=repr)
 
 
-def _canonical(node: logical.PlanNode, bindings: dict[str, str], strict: bool) -> tuple:
-    """Per-call canonicalisation: recurses over children itself."""
-    child_tuples = tuple(
-        _canonical(child, bindings, strict) for child in node.children()
-    )
-    return _canonical_node(node, bindings, strict, child_tuples)
+def _digest(node: logical.PlanNode, bindings: dict[str, str], strict: bool) -> str:
+    """Per-call Merkle digest: recurses over children itself."""
+    child_digests = tuple(_digest(child, bindings, strict) for child in node.children())
+    return stable_hash(_canonical_node(node, bindings, strict, child_digests))
 
 
 def _canonical_node(
     node: logical.PlanNode,
     bindings: dict[str, str],
     strict: bool,
-    child_tuples: tuple[tuple, ...],
+    child_digests: tuple[str, ...],
 ) -> tuple:
-    """Canonical tuple of one node given its children's canonical tuples.
+    """Canonical tuple of one node: local content plus child digests.
 
-    ``child_tuples`` is parallel to ``node.children()``; both the per-call
-    path and the memoized bottom-up pass funnel through here, so their
-    tuples (and therefore digests) are identical by construction.
+    ``child_digests`` is parallel to ``node.children()`` and holds digests
+    of the same strictness; both the per-call path and the memoized
+    bottom-up pass funnel through here, so their digests are identical by
+    construction.
     """
     FINGERPRINT_STATS.nodes_canonicalised += 1
     if isinstance(node, logical.Scan):
@@ -350,20 +354,20 @@ def _canonical_node(
     if isinstance(node, logical.OneRow):
         return ("onerow",)
     if isinstance(node, logical.SubqueryScan):
-        return ("subquery", node.alias.lower(), child_tuples[0])
+        return ("subquery", node.alias.lower(), child_digests[0])
     if isinstance(node, logical.Filter):
         return (
             "filter",
             _canonical_predicate(node.predicate, bindings, node.child),
-            child_tuples[0],
+            child_digests[0],
         )
     if isinstance(node, logical.Project):
         exprs = [_canonical_expr(expr, bindings, node.child) for expr in node.exprs]
         if not strict:
             exprs = _stable_sorted(exprs)
-        return ("project", tuple(exprs), child_tuples[0])
+        return ("project", tuple(exprs), child_digests[0])
     if isinstance(node, logical.HashJoin):
-        left, right = child_tuples
+        left, right = child_digests
         pairs = []
         for l, r in zip(node.left_keys, node.right_keys):
             pairs.append(
@@ -391,7 +395,7 @@ def _canonical_node(
             if node.condition is None
             else _canonical_predicate(node.condition, bindings, node)
         )
-        left, right = child_tuples
+        left, right = child_digests
         if node.kind in ("INNER", "CROSS") and not strict:
             first, second = _stable_sorted([left, right])
             return ("nljoin", node.kind, first, second, condition)
@@ -406,18 +410,18 @@ def _canonical_node(
             "aggregate",
             tuple(group_list),
             tuple(agg_list),
-            child_tuples[0],
+            child_digests[0],
         )
     if isinstance(node, logical.Sort):
         keys = tuple(
             (_canonical_expr(expr, bindings, node.child), asc)
             for expr, asc in node.keys
         )
-        return ("sort", keys, child_tuples[0])
+        return ("sort", keys, child_digests[0])
     if isinstance(node, logical.Limit):
-        return ("limit", node.limit, node.offset, child_tuples[0])
+        return ("limit", node.limit, node.offset, child_digests[0])
     if isinstance(node, logical.Distinct):
-        return ("distinct", child_tuples[0])
+        return ("distinct", child_digests[0])
     raise TypeError(f"cannot canonicalise plan node {type(node).__name__}")
 
 
